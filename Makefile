@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench bench-cache bench-kernels bench-service bench-sweep cache-smoke fuzz-smoke fuzz-hetero-smoke workload-smoke shard-smoke serve-smoke sweep-smoke sweep-demo clean-results
+.PHONY: test lint bench-smoke bench bench-cache bench-kernels bench-service bench-sweep cache-smoke fuzz-smoke fuzz-hetero-smoke workload-smoke shard-smoke serve-smoke sweep-smoke perfbench-smoke sweep-demo clean-results
 
 ## tier-1 verification: the full test suite, fail fast
 test:
@@ -158,6 +158,23 @@ sweep-smoke:
 		--instances 4 --thresholds 6 --frontier > .sweep-smoke/frontier.txt
 	cmp .sweep-smoke/direct.txt .sweep-smoke/frontier.txt
 	rm -rf .sweep-smoke
+
+## CI's benchmark smoke slice: the benchmark's self-tests, then one short
+## traced run of exact_campaign and of fig6_sweep; each run must exit 0 and
+## its last line must report every answer correct and none failed, so a
+## program change that renames a symbol the benchmark wraps fails here
+perfbench-smoke:
+	rm -rf .perfbench-smoke && mkdir -p .perfbench-smoke
+	$(PYTHON) perfbench/selftest.py
+	for w in exact_campaign fig6_sweep; do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 0 --seconds 3 \
+			--trace 1 > .perfbench-smoke/$$w.txt || exit 1; \
+		tail -n 1 .perfbench-smoke/$$w.txt | $(PYTHON) -c "import json,sys; \
+			r=json.loads(sys.stdin.read()); \
+			assert r['correct'] is True and r['failed'] == 0, r; \
+			print('$$w: correct, 0 failed of', r['attempted'])" || exit 1; \
+	done
+	rm -rf .perfbench-smoke
 
 ## one parallel figure panel end to end (smoke test of the --workers path)
 sweep-demo:

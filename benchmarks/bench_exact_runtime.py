@@ -2,7 +2,7 @@
 
 The homogeneous DPs of :mod:`repro.exact.homogeneous_dp` run their
 ``O(n^2 p)`` inner loops either as the original scalar Python loops
-(``vectorized=False``, kept as the reference implementation) or as NumPy
+(``backend="scalar"``, kept as the reference implementation) or as NumPy
 prefix-sum / broadcast kernels in the style of
 :func:`repro.core.costs.evaluate_batch`.  This benchmark measures both paths
 on the acceptance case (n=64 stages, p=16 processors), asserts that they
@@ -63,7 +63,7 @@ def test_homogeneous_min_period_vectorized_speedup():
     """Vectorized min-period DP: same optimum, >= 5x faster at n=64, p=16."""
     app, platform = _instance()
     t_scalar, scalar = _best_of(
-        lambda: homogeneous_min_period(app, platform, vectorized=False)
+        lambda: homogeneous_min_period(app, platform, backend="scalar")
     )
     t_vector, vector = _best_of(lambda: homogeneous_min_period(app, platform))
 
@@ -87,7 +87,7 @@ def test_homogeneous_min_latency_for_period_vectorized_speedup():
 
     t_scalar, scalar = _best_of(
         lambda: homogeneous_min_latency_for_period(
-            app, platform, bound, vectorized=False
+            app, platform, bound, backend="scalar"
         )
     )
     t_vector, vector = _best_of(

@@ -4,11 +4,11 @@ The acceptance case of the compiled-kernel work: at the paper-scale DP size
 (n=64 stages, p=16 processors) the compiled homogeneous-DP table kernels
 must be **at least 5x** faster than the numpy reference path, while staying
 bit-identical (asserted here on every timed input, on top of the load-time
-validation the engine already passed).  The batch evaluation kernel and one
-end-to-end sweep are measured alongside: the sweep must show a measurable
-win (>= 10%) because the DP tables dominate its profile.
+validation the engine already passed).  One end-to-end sweep is measured
+alongside: it must show a measurable win (>= 10%) because the DP tables
+dominate its profile.
 
-When no compiled engine is available (no numba, no C compiler, or
+When the compiled engine is unavailable (no C compiler, or
 ``REPRO_KERNELS_DISABLE``), the suite **skips with the recorded reason**
 rather than failing — graceful fallback is part of the contract and CI runs
 a leg in exactly that configuration.
@@ -74,34 +74,8 @@ def _dp_inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cycle, term
 
 
-def _batch_inputs(n: int, p: int, m: int):
-    """A packed ``m``-mapping batch exercising ``batch_terms`` at scale."""
-    rng = np.random.default_rng(BENCH_SEED)
-    works = rng.uniform(1.0, 10.0, size=n)
-    comm = rng.uniform(0.5, 5.0, size=n + 1)
-    prefix = np.concatenate(([0.0], np.cumsum(works)))
-    starts_l: list[int] = []
-    ends_l: list[int] = []
-    procs_l: list[int] = []
-    offsets = [0]
-    for _ in range(m):
-        k = int(rng.integers(1, min(n, p) + 1))
-        cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
-        bounds = np.concatenate(([0], cuts, [n]))
-        starts_l.extend(bounds[:-1])
-        ends_l.extend(bounds[1:] - 1)
-        procs_l.extend(rng.permutation(p)[:k])
-        offsets.append(offsets[-1] + k)
-    speeds = rng.uniform(1.0, 4.0, size=p)
-    return (
-        comm, prefix, speeds,
-        np.array(starts_l, dtype=np.int64), np.array(ends_l, dtype=np.int64),
-        np.array(procs_l, dtype=np.int64), np.array(offsets, dtype=np.int64),
-    )
-
-
 def measure(smoke: bool = False) -> dict:
-    """Time every kernel compiled-vs-numpy and one end-to-end sweep."""
+    """Time both DP table kernels compiled-vs-numpy and one end-to-end sweep."""
     funcs = compiled.engine_functions()
     assert funcs is not None
     reps = 30 if smoke else 200
@@ -129,64 +103,6 @@ def measure(smoke: bool = False) -> dict:
     kernels_out["min_latency_tables"] = {
         "numpy_us": t_np * 1e6, "compiled_us": t_cc * 1e6, "speedup": t_np / t_cc,
     }
-
-    # a batch safely above the compiled-dispatch floor (the dispatcher routes
-    # smaller batches to numpy on purpose: below the floor numpy is faster)
-    floor = kernels.elementwise_compiled_min()
-    n_mappings = 2 * floor // (p // 2)
-    comm, prefix, speeds, starts, ends, procs, offsets = _batch_inputs(
-        n, p, n_mappings
-    )
-    batch_args = (
-        comm, prefix, speeds, starts, ends, procs, offsets,
-        n, True, 10.0, 10.0, 10.0, None,
-    )
-    assert starts.size >= floor
-    batch_reps = max(10, reps // 4)
-    t_np, ref = _best_of(reference.batch_terms_numpy, *batch_args, reps=batch_reps)
-    t_cc, got = _best_of(funcs["batch_terms"], *batch_args, reps=batch_reps)
-    for a, b in zip(ref, got):
-        assert (a == b).all()
-    kernels_out["batch_terms"] = {
-        "numpy_us": t_np * 1e6, "compiled_us": t_cc * 1e6, "speedup": t_np / t_cc,
-        "n_intervals": int(starts.size),
-    }
-
-    # --- dispatch-floor calibration: where does compiled overtake numpy? --
-    # Recorded, not gated: batch_terms is elementwise, so its compiled win
-    # is modest and crosses over with batch size.  The grid below is what
-    # the ELEMENTWISE_COMPILED_MIN default was derived from (break-even near
-    # ~2k intervals on the reference host, solid wins from ~4k); re-running
-    # the bench re-measures it here, and an operator who sees a different
-    # crossover can pin $REPRO_ELEMENTWISE_COMPILED_MIN or call
-    # kernels.set_elementwise_compiled_min() accordingly.
-    grid_targets = (
-        [floor // 2, floor, 2 * floor]
-        if smoke
-        else [floor // 8, floor // 4, floor // 2, floor, 2 * floor, 4 * floor]
-    )
-    calibration_grid = []
-    crossover = None
-    for target in grid_targets:
-        m = max(1, target // (p // 2))
-        comm, prefix, speeds, starts, ends, procs, offsets = _batch_inputs(n, p, m)
-        cal_args = (
-            comm, prefix, speeds, starts, ends, procs, offsets,
-            n, True, 10.0, 10.0, 10.0, None,
-        )
-        cal_reps = max(5, batch_reps // 2)
-        t_np, ref = _best_of(reference.batch_terms_numpy, *cal_args, reps=cal_reps)
-        t_cc, got = _best_of(funcs["batch_terms"], *cal_args, reps=cal_reps)
-        for a, b in zip(ref, got):
-            assert (a == b).all()
-        calibration_grid.append({
-            "n_intervals": int(starts.size),
-            "numpy_us": t_np * 1e6,
-            "compiled_us": t_cc * 1e6,
-            "speedup": t_np / t_cc,
-        })
-        if crossover is None and t_np / t_cc >= 1.0:
-            crossover = int(starts.size)
 
     # end-to-end: sweep the homogeneous DP solvers — the consumers of the
     # gated table kernels — numpy backend vs compiled backend; identical
@@ -218,12 +134,6 @@ def measure(smoke: bool = False) -> dict:
         "n_stages": n,
         "n_processors": p,
         "kernels": kernels_out,
-        "calibration": {
-            "kernel": "batch_terms",
-            "dispatch_floor": floor,
-            "crossover_intervals": crossover,
-            "grid": calibration_grid,
-        },
         "sweep": {
             "label": config.label,
             "numpy_s": t_sweep_np,
@@ -246,22 +156,6 @@ def render(data: dict) -> str:
             f"{name:<22} {row['numpy_us']:>10.1f}us {row['compiled_us']:>10.1f}us "
             f"{row['speedup']:>8.1f}x"
         )
-    calibration = data.get("calibration")
-    if calibration:
-        crossover = calibration["crossover_intervals"]
-        lines += [
-            "",
-            f"batch_terms dispatch calibration (floor: "
-            f"{calibration['dispatch_floor']} intervals, measured crossover: "
-            f"{'none in grid' if crossover is None else crossover}):",
-        ]
-        for row in calibration["grid"]:
-            lines.append(
-                f"  {row['n_intervals']:>8} intervals  "
-                f"numpy {row['numpy_us']:>8.1f}us  "
-                f"compiled {row['compiled_us']:>8.1f}us  "
-                f"{row['speedup']:>6.2f}x"
-            )
     sweep = data["sweep"]
     lines += [
         "",

@@ -282,37 +282,21 @@ def interval_time_components(
     input_bandwidth: float,
     output_bandwidth: float,
     n_stages: int,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (input, compute, output) times of stage intervals.
 
-    The communication-homogeneous kernel shared by :func:`evaluate_batch` and
-    the splitting engine (:mod:`repro.heuristics.engine`): interval ``i``
-    spans stages ``[starts[i], ends[i]]`` and runs on a processor of speed
+    The communication-homogeneous kernel of the splitting engine
+    (:mod:`repro.heuristics.engine`): interval ``i`` spans stages
+    ``[starts[i], ends[i]]`` and runs on a processor of speed
     ``speeds[i]``.  ``prefix`` is the work prefix-sum array (``prefix[k] =
     w_0 + .. + w_{k-1}``) and ``comm`` the ``delta`` vector of length
     ``n_stages + 1``.  The first interval reads through ``input_bandwidth``,
     the last writes through ``output_bandwidth``, every internal boundary
     crosses a ``bandwidth`` link.  All arguments broadcast, so scalars work
-    too.  The ``compiled`` backend serves 1-D interval arrays (the hot path
-    of the splitting engine); other shapes fall back to the numpy kernel.
+    too.
     """
     starts = np.asarray(starts)
     ends = np.asarray(ends)
-    if (
-        kernels.resolve_backend(backend) == "compiled"
-        and starts.ndim == 1
-        and ends.shape == starts.shape
-        and starts.size > 0
-    ):
-        speeds_arr = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(speeds, dtype=float), starts.shape)
-        )
-        return kernels.interval_components(
-            prefix, comm, starts, ends, speeds_arr, n_stages,
-            bandwidth, input_bandwidth, output_bandwidth,
-            backend="compiled",
-        )
     in_bw = np.where(starts == 0, input_bandwidth, bandwidth)
     out_bw = np.where(ends == n_stages - 1, output_bandwidth, bandwidth)
     input_time = comm[starts] / in_bw
@@ -362,14 +346,11 @@ def evaluate_batch(
     whole batch.  Works for communication-homogeneous *and* fully
     heterogeneous platforms.
 
-    The elementwise per-interval terms dispatch through
-    :func:`repro.core.kernels.batch_terms` (``backend=None`` follows the
-    active backend), while the final ``reduceat`` reductions **always** run
-    in numpy: the compiled engines are validated to reproduce the terms bit
-    for bit, so periods and latencies are bit-identical across the ``numpy``
-    and ``compiled`` backends — the exact-arithmetic contract the local
-    search and the solve cache rely on.  ``backend="scalar"`` evaluates each
-    mapping with the scalar :func:`evaluate` path instead.
+    The ``numpy`` and ``compiled`` backends share this one numpy kernel, so
+    periods and latencies are bit-identical across them — the
+    exact-arithmetic contract the local search and the solve cache rely on.
+    ``backend="scalar"`` evaluates each mapping with the scalar
+    :func:`evaluate` path instead.
 
     Parameters
     ----------
@@ -402,27 +383,37 @@ def evaluate_batch(
     firsts = offsets[:-1]
     lasts = offsets[1:] - 1
 
-    homogeneous = platform.is_communication_homogeneous
-    cycle, contribution, output_time = kernels.batch_terms(
-        app.comm_sizes,
-        app.work_prefix,
-        platform.speeds,
-        starts,
-        ends,
-        procs,
-        offsets,
-        app.n_stages,
-        homogeneous,
-        platform.uniform_bandwidth if homogeneous else 0.0,
-        platform.input_bandwidth,
-        platform.output_bandwidth,
-        None if homogeneous else platform.bandwidth_matrix(),
-        backend=resolved,
-    )
+    # Per-interval terms over the flat batch; zero-size communications cost
+    # exactly 0.0.  Interval j receives from alloc(j-1) and sends to
+    # alloc(j+1) unless it is the first or last interval of its mapping.
+    compute_time = (
+        app.work_prefix[ends + 1] - app.work_prefix[starts]
+    ) / platform.speeds[procs]
+    is_first = np.zeros(starts.size, dtype=bool)
+    is_first[firsts] = True
+    is_last = np.zeros(starts.size, dtype=bool)
+    is_last[lasts] = True
+    if platform.is_communication_homogeneous:
+        bandwidth = platform.uniform_bandwidth
+        in_bw = np.where(is_first, platform.input_bandwidth, bandwidth)
+        out_bw = np.where(is_last, platform.output_bandwidth, bandwidth)
+    else:
+        # the rolled indices at batch boundaries are masked out by
+        # is_first/is_last
+        bmat = platform.bandwidth_matrix()
+        in_bw = np.where(
+            is_first, platform.input_bandwidth, bmat[np.roll(procs, 1), procs]
+        )
+        out_bw = np.where(
+            is_last, platform.output_bandwidth, bmat[procs, np.roll(procs, -1)]
+        )
+    delta_in = app.comm_sizes[starts]
+    delta_out = app.comm_sizes[ends + 1]
+    input_time = np.where(delta_in == 0.0, 0.0, delta_in / in_bw)
+    output_time = np.where(delta_out == 0.0, 0.0, delta_out / out_bw)
+    cycle = input_time + compute_time + output_time
+    contribution = input_time + compute_time
 
-    # The reductions stay in numpy for every backend: reduceat's accumulation
-    # order is not sequential, and reproducing it elsewhere would break the
-    # bit-identity contract between backends.
     periods = np.maximum.reduceat(cycle, firsts)
     latencies = np.add.reduceat(contribution, firsts) + output_time[lasts]
     return BatchEvaluation(

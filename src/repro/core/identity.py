@@ -7,9 +7,8 @@ memoises whole solver runs.  All of them need one stable identity for an
 instance: Python's ``hash()`` is salted per process and the object reprs
 carry display names, so neither qualifies.
 
-This module is the single home of that identity (it started life as
-``repro.scenarios.hashing``, which now re-exports it unchanged — corpus
-fixtures keep their digests byte for byte):
+This module is the single home of that identity (it started life in the
+scenario layer; corpus fixtures keep their digests byte for byte):
 
 * :func:`canonical_instance_document` — a name-free, JSON-safe document
   holding exactly the numbers that define the instance (stage works,

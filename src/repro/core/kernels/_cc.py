@@ -1,10 +1,9 @@
 """The ``cc`` compiled engine: a tiny C library JIT-built with the system compiler.
 
-When numba is absent (the common case in minimal containers) the compiled
-backend falls back to this engine: the four hot-path kernels are compiled
-once from the embedded C source into a shared library cached under the user
-cache directory, keyed by the SHA-256 of the source — editing the source
-below automatically invalidates the cached binary.
+The engine behind the ``compiled`` backend: the two homogeneous-DP table
+kernels are compiled once from the embedded C source into a shared library
+cached under the user cache directory, keyed by the SHA-256 of the source —
+editing the source below automatically invalidates the cached binary.
 
 Bit-identity contract: the C loops perform exactly the IEEE-754 double
 operations of the numpy reference kernels, in an order that provably yields
@@ -13,13 +12,12 @@ the same bits —
 * ``max(a, b)`` then a strict ``<`` first-minimum scan over ascending ``j``
   equals ``np.maximum`` + ``argmin`` (first index wins, no arithmetic
   reordering);
-* the DP recurrences are single adds/compares, associativity never enters;
-* :func:`batch_terms` / :func:`interval_components` are purely elementwise.
+* the DP recurrences are single adds/compares, associativity never enters.
 
 The build is intentionally conservative: ``-O3 -ffp-contract=off`` and no
 fast-math, so the compiler cannot fuse or reorder floating-point operations
-(vectorising the purely elementwise compare/select inner loops is safe: no
-reduction order changes, every lane performs the exact scalar operation).
+(vectorising the compare/select inner loops is safe: no reduction order
+changes, every lane performs the exact scalar operation).
 Any build or validation failure is reported to the engine selector
 (:mod:`repro.core.kernels.compiled`), never raised to solver code.
 """
@@ -126,70 +124,6 @@ void repro_min_latency_tables(const double *restrict cycle,
         }
     }
 }
-
-/* Elementwise evaluate_batch terms over a packed mapping batch.
- * The flat intervals of mapping i occupy offsets[i]..offsets[i+1]-1;
- * homogeneous != 0 selects the scalar-bandwidth link model, otherwise
- * bmat is the (p, p) per-link matrix.  Mirrors batch_terms_numpy exactly:
- * zero-size communications cost exactly 0.0, cycle = (input + compute)
- * + output (left-associated like the numpy expression). */
-void repro_batch_terms(const double *comm, const double *prefix,
-                       const double *speeds,
-                       const int64_t *starts, const int64_t *ends,
-                       const int64_t *procs, const int64_t *offsets,
-                       int64_t m, int64_t homogeneous, double bandwidth,
-                       double input_bandwidth, double output_bandwidth,
-                       const double *bmat, int64_t p,
-                       double *cycle, double *contribution,
-                       double *output_time)
-{
-    for (int64_t i = 0; i < m; ++i) {
-        const int64_t first = offsets[i];
-        const int64_t last = offsets[i + 1] - 1;
-        for (int64_t t = first; t <= last; ++t) {
-            const int64_t u = procs[t];
-            double in_bw, out_bw;
-            if (t == first)
-                in_bw = input_bandwidth;
-            else
-                in_bw = homogeneous ? bandwidth : bmat[procs[t - 1] * p + u];
-            if (t == last)
-                out_bw = output_bandwidth;
-            else
-                out_bw = homogeneous ? bandwidth : bmat[u * p + procs[t + 1]];
-            const double delta_in = comm[starts[t]];
-            const double delta_out = comm[ends[t] + 1];
-            const double input_t = (delta_in == 0.0) ? 0.0 : delta_in / in_bw;
-            const double output_t = (delta_out == 0.0) ? 0.0 : delta_out / out_bw;
-            const double compute_t =
-                (prefix[ends[t] + 1] - prefix[starts[t]]) / speeds[u];
-            const double contrib = input_t + compute_t;
-            cycle[t] = contrib + output_t;
-            contribution[t] = contrib;
-            output_time[t] = output_t;
-        }
-    }
-}
-
-/* Elementwise splitting-engine components (communication-homogeneous).
- * Mirrors interval_components_numpy: no zero-communication guard. */
-void repro_interval_components(const double *prefix, const double *comm,
-                               const int64_t *starts, const int64_t *ends,
-                               const double *speeds, int64_t count,
-                               int64_t n_stages, double bandwidth,
-                               double input_bandwidth, double output_bandwidth,
-                               double *input_time, double *compute_time,
-                               double *output_time)
-{
-    for (int64_t t = 0; t < count; ++t) {
-        const double in_bw = (starts[t] == 0) ? input_bandwidth : bandwidth;
-        const double out_bw =
-            (ends[t] == n_stages - 1) ? output_bandwidth : bandwidth;
-        input_time[t] = comm[starts[t]] / in_bw;
-        output_time[t] = comm[ends[t] + 1] / out_bw;
-        compute_time[t] = (prefix[ends[t] + 1] - prefix[starts[t]]) / speeds[t];
-    }
-}
 """
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
@@ -247,10 +181,6 @@ def _as_f64(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 
-def _as_i64(arr: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.int64)
-
-
 def _ptr_f64(arr: np.ndarray):
     return arr.ctypes.data_as(_F64)
 
@@ -260,7 +190,7 @@ def _ptr_i64(arr: np.ndarray):
 
 
 def load() -> dict:
-    """Build (or reuse) the library and return the four kernel callables.
+    """Build (or reuse) the library and return the two kernel callables.
 
     Raises on any failure — no compiler, failed build, unloadable library —
     with a one-line reason for the engine selector to record.
@@ -278,17 +208,6 @@ def load() -> dict:
         _F64, _F64, c_f64, c_i64, c_i64, _F64, _I64, _F64,
     ]
     lib.repro_min_latency_tables.restype = None
-    lib.repro_batch_terms.argtypes = [
-        _F64, _F64, _F64, _I64, _I64, _I64, _I64,
-        c_i64, c_i64, c_f64, c_f64, c_f64, _F64, c_i64,
-        _F64, _F64, _F64,
-    ]
-    lib.repro_batch_terms.restype = None
-    lib.repro_interval_components.argtypes = [
-        _F64, _F64, _I64, _I64, _F64, c_i64, c_i64, c_f64, c_f64, c_f64,
-        _F64, _F64, _F64,
-    ]
-    lib.repro_interval_components.restype = None
 
     def min_period_tables(cycle, n, p):
         cycle = _as_f64(cycle)
@@ -313,55 +232,7 @@ def load() -> dict:
         )
         return dp, parent
 
-    def batch_terms(
-        comm, prefix, speeds, starts, ends, procs, offsets,
-        n_stages, homogeneous, bandwidth, input_bandwidth, output_bandwidth,
-        bmat,
-    ):
-        comm, prefix, speeds = _as_f64(comm), _as_f64(prefix), _as_f64(speeds)
-        starts, ends = _as_i64(starts), _as_i64(ends)
-        procs, offsets = _as_i64(procs), _as_i64(offsets)
-        if bmat is None:
-            bmat_arr, p = speeds[:0], 0  # never dereferenced when homogeneous
-        else:
-            bmat_arr = _as_f64(bmat)
-            p = bmat_arr.shape[0]
-        total = starts.size
-        cycle = np.empty(total, dtype=np.float64)
-        contribution = np.empty(total, dtype=np.float64)
-        output_time = np.empty(total, dtype=np.float64)
-        lib.repro_batch_terms(
-            _ptr_f64(comm), _ptr_f64(prefix), _ptr_f64(speeds),
-            _ptr_i64(starts), _ptr_i64(ends), _ptr_i64(procs),
-            _ptr_i64(offsets), offsets.size - 1,
-            1 if homogeneous else 0, float(bandwidth),
-            float(input_bandwidth), float(output_bandwidth),
-            _ptr_f64(bmat_arr), p,
-            _ptr_f64(cycle), _ptr_f64(contribution), _ptr_f64(output_time),
-        )
-        return cycle, contribution, output_time
-
-    def interval_components(
-        prefix, comm, starts, ends, speeds, n_stages,
-        bandwidth, input_bandwidth, output_bandwidth,
-    ):
-        prefix, comm, speeds = _as_f64(prefix), _as_f64(comm), _as_f64(speeds)
-        starts, ends = _as_i64(starts), _as_i64(ends)
-        count = starts.size
-        input_time = np.empty(count, dtype=np.float64)
-        compute_time = np.empty(count, dtype=np.float64)
-        output_time = np.empty(count, dtype=np.float64)
-        lib.repro_interval_components(
-            _ptr_f64(prefix), _ptr_f64(comm), _ptr_i64(starts),
-            _ptr_i64(ends), _ptr_f64(speeds), count, n_stages,
-            float(bandwidth), float(input_bandwidth), float(output_bandwidth),
-            _ptr_f64(input_time), _ptr_f64(compute_time), _ptr_f64(output_time),
-        )
-        return input_time, compute_time, output_time
-
     return {
         "min_period_tables": min_period_tables,
         "min_latency_tables": min_latency_tables,
-        "batch_terms": batch_terms,
-        "interval_components": interval_components,
     }

@@ -1,21 +1,21 @@
-"""Compiled-engine selection: numba first, then the ``cc`` C library, else none.
+"""Compiled-engine selection: the ``cc`` C library, else none.
 
 The ``compiled`` backend name is a *request*, not a guarantee: this module
-decides per process which concrete engine serves it.
+decides per process whether the ``cc`` engine (the embedded C library built
+with the system compiler, :mod:`repro.core.kernels._cc`) serves it.
 
-* Selection order: ``numba`` (when importable and jit-compilable), then
-  ``cc`` (the embedded C library built with the system compiler), gated by
-  ``REPRO_KERNELS_DISABLE`` — ``all``/``1`` disables every engine, a comma
-  list (``numba``, ``cc``) disables specific ones.  CI's no-numba leg sets
-  ``REPRO_KERNELS_DISABLE=all`` to prove the numpy fallback end to end.
-* Every candidate engine is **validated before adoption**: its four kernels
+* ``REPRO_KERNELS_DISABLE`` set to ``all``/``1``/``cc`` switches the engine
+  off.  CI's ``disabled`` leg sets ``REPRO_KERNELS_DISABLE=all`` to prove
+  the numpy fallback end to end.
+* The engine is **validated before adoption**: its two DP table kernels
   run on a small fixed instance and must reproduce the numpy reference
   (:mod:`repro.core.kernels.reference`) bit for bit.  A mismatching or
   crashing engine is rejected with a recorded reason, exactly like a
   missing one.
-* When no engine survives, the dispatch layer silently serves ``compiled``
-  requests with the numpy kernels and :func:`unavailable_reason` explains
-  why — graceful fallback, never an error.
+* When the engine is unavailable, the dispatch layer silently serves
+  ``compiled`` requests with the numpy kernels and
+  :func:`unavailable_reason` explains why — graceful fallback, never an
+  error.
 
 The decision is cached per process; forked pool workers inherit it, and a
 fresh worker re-runs the same deterministic selection.
@@ -35,14 +35,11 @@ __all__ = ["engine_name", "engine_functions", "unavailable_reason", "reset"]
 _STATE: dict | None = None
 
 
-def _disabled() -> set[str]:
-    """Engines switched off via ``REPRO_KERNELS_DISABLE``."""
+def _disabled() -> bool:
+    """Whether ``REPRO_KERNELS_DISABLE`` switches the ``cc`` engine off."""
     raw = os.environ.get("REPRO_KERNELS_DISABLE", "").strip().lower()
-    if not raw:
-        return set()
-    if raw in ("1", "all", "true", "compiled"):
-        return {"numba", "cc"}
-    return {token.strip() for token in raw.split(",") if token.strip()}
+    tokens = {token.strip() for token in raw.split(",")}
+    return bool(tokens & {"1", "all", "true", "compiled", "cc"})
 
 
 def _validate(funcs: dict) -> None:
@@ -68,61 +65,21 @@ def _validate(funcs: dict) -> None:
         ):
             raise RuntimeError(f"{name} disagrees with the numpy reference")
 
-    comm = rng.uniform(0.0, 2.0, n + 1)
-    comm[1] = 0.0  # exercise the zero-communication guard
-    prefix = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 2.0, n))))
-    speeds = rng.uniform(1.0, 4.0, p)
-    starts = np.array([0, 3, 6, 0, 4], dtype=np.int64)
-    ends = np.array([2, 5, 8, 3, 8], dtype=np.int64)
-    procs = np.array([0, 1, 2, 3, 0], dtype=np.int64)
-    offsets = np.array([0, 3, 5], dtype=np.int64)
-    bmat = rng.uniform(1.0, 5.0, (p, p))
-    bmat = (bmat + bmat.T) / 2.0
-    np.fill_diagonal(bmat, np.inf)
-
-    for homogeneous, b, mat in ((True, 7.5, None), (False, 0.0, bmat)):
-        got = funcs["batch_terms"](
-            comm, prefix, speeds, starts, ends, procs, offsets,
-            n, homogeneous, b, 4.0, 6.0, mat,
-        )
-        want = reference.batch_terms_numpy(
-            comm, prefix, speeds, starts, ends, procs, offsets,
-            n, homogeneous, b, 4.0, 6.0, mat,
-        )
-        if not all(np.array_equal(g, w) for g, w in zip(got, want)):
-            raise RuntimeError("batch_terms disagrees with the numpy reference")
-
-    got = funcs["interval_components"](
-        prefix, comm, starts, ends, np.full(starts.size, 2.0), n, 7.5, 4.0, 6.0
-    )
-    want = reference.interval_components_numpy(
-        prefix, comm, starts, ends, np.full(starts.size, 2.0), n, 7.5, 4.0, 6.0
-    )
-    if not all(np.array_equal(g, w) for g, w in zip(got, want)):
-        raise RuntimeError("interval_components disagrees with the numpy reference")
-
 
 def _select() -> dict:
-    """Try the engines in preference order; record why the losers lost."""
-    disabled = _disabled()
-    reasons: list[str] = []
-    loaders = []
-    from . import _cc, _numba
+    """Build and validate the ``cc`` engine; record why it was not adopted."""
+    if _disabled():
+        reason = "cc: disabled via REPRO_KERNELS_DISABLE"
+        return {"name": None, "functions": None, "reason": reason}
+    from . import _cc
 
-    for name, module in (("numba", _numba), ("cc", _cc)):
-        loaders.append((name, module.load))
-    for name, loader in loaders:
-        if name in disabled:
-            reasons.append(f"{name}: disabled via REPRO_KERNELS_DISABLE")
-            continue
-        try:
-            funcs = loader()
-            _validate(funcs)
-        except Exception as exc:  # noqa: BLE001 - any failure means fallback
-            reasons.append(f"{name}: {type(exc).__name__}: {exc}")
-            continue
-        return {"name": name, "functions": funcs, "reason": None}
-    return {"name": None, "functions": None, "reason": "; ".join(reasons)}
+    try:
+        funcs = _cc.load()
+        _validate(funcs)
+    except Exception as exc:  # noqa: BLE001 - any failure means fallback
+        reason = f"cc: {type(exc).__name__}: {exc}"
+        return {"name": None, "functions": None, "reason": reason}
+    return {"name": "cc", "functions": funcs, "reason": None}
 
 
 def _state() -> dict:

@@ -13,13 +13,14 @@ Backends:
     The broadcast/reduce reference kernels — the oracle every other
     backend is validated against.
 ``scalar``
-    The original Python loops (the historical ``vectorized=False``),
-    kept as the independently-auditable baseline.
+    The original Python loops, kept as the independently-auditable
+    baseline.
 ``compiled``
-    numba or the built-in C library (:mod:`repro.core.kernels.compiled`),
-    bit-identical to ``numpy`` by validation; silently served by the numpy
-    kernels when no engine is available (see
-    :func:`compiled_unavailable_reason`).
+    The built-in C library (:mod:`repro.core.kernels.compiled`) for the
+    homogeneous-DP tables, bit-identical to ``numpy`` by validation;
+    silently served by the numpy kernels when the engine is unavailable
+    (see :func:`compiled_unavailable_reason`).  The elementwise cost terms
+    of :mod:`repro.core.costs` always run in numpy.
 """
 
 from __future__ import annotations
@@ -35,81 +36,19 @@ from . import reference
 
 __all__ = [
     "BACKENDS",
-    "ELEMENTWISE_COMPILED_MIN",
-    "elementwise_compiled_min",
-    "set_elementwise_compiled_min",
     "active_backend",
     "set_active_backend",
     "use_backend",
     "resolve_backend",
-    "backend_from_flags",
     "compiled_engine",
     "compiled_unavailable_reason",
     "backend_info",
     "min_period_tables",
     "min_latency_tables",
-    "batch_terms",
-    "interval_components",
 ]
 
 #: the selectable kernel backends, in documentation order
 BACKENDS = ("numpy", "scalar", "compiled")
-
-#: smallest elementwise batch (intervals) worth routing to a compiled
-#: engine: below this the per-call marshalling overhead exceeds the loop
-#: itself and the bit-identical numpy kernels are faster.  The DP table
-#: kernels have no such floor — they win at every size the solvers use.
-#:
-#: The default is set from measurement, not guesswork: on the reference
-#: container the compiled ``batch_terms`` breaks even with numpy at ~2k
-#: intervals and holds a robust >= 1.25x win from ~4k upward (the crossover
-#: curve is re-measured and recorded in ``BENCH_kernels.json`` by
-#: ``benchmarks/bench_kernel_speedup.py --calibrate``).  Override per host
-#: with ``REPRO_ELEMENTWISE_COMPILED_MIN`` or
-#: :func:`set_elementwise_compiled_min`.
-_ELEMENTWISE_COMPILED_MIN_DEFAULT = 4096
-
-
-def _initial_elementwise_min() -> int:
-    raw = os.environ.get("REPRO_ELEMENTWISE_COMPILED_MIN", "").strip()
-    if not raw:
-        return _ELEMENTWISE_COMPILED_MIN_DEFAULT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_ELEMENTWISE_COMPILED_MIN must be an integer, got {raw!r}"
-        )
-    if value < 1:
-        raise ConfigurationError(
-            f"REPRO_ELEMENTWISE_COMPILED_MIN must be >= 1, got {value}"
-        )
-    return value
-
-
-ELEMENTWISE_COMPILED_MIN = _initial_elementwise_min()
-
-
-def elementwise_compiled_min() -> int:
-    """The currently active elementwise compiled-dispatch floor."""
-    return ELEMENTWISE_COMPILED_MIN
-
-
-def set_elementwise_compiled_min(value: int) -> int:
-    """Set the dispatch floor (e.g. from a calibration run); returns the old.
-
-    The floor only affects *which* bit-identical kernel serves a call, never
-    the results, so re-tuning it per host is always safe.
-    """
-    global ELEMENTWISE_COMPILED_MIN
-    value = int(value)
-    if value < 1:
-        raise ConfigurationError(
-            f"elementwise compiled floor must be >= 1, got {value}"
-        )
-    previous = ELEMENTWISE_COMPILED_MIN
-    ELEMENTWISE_COMPILED_MIN = value
-    return previous
 
 
 def _validated(name: str) -> str:
@@ -160,26 +99,8 @@ def resolve_backend(backend: str | None) -> str:
     return _ACTIVE if backend is None else _validated(backend)
 
 
-def backend_from_flags(
-    backend: str | None, vectorized: bool | None
-) -> str:
-    """Merge the modern ``backend=`` knob with the legacy ``vectorized=`` flag.
-
-    ``vectorized=True`` means ``numpy``, ``False`` means ``scalar``
-    (byte-compatible with the historical homogeneous-DP signatures);
-    passing both knobs is a configuration error.
-    """
-    if vectorized is None:
-        return resolve_backend(backend)
-    if backend is not None:
-        raise ConfigurationError(
-            "pass either backend= or the legacy vectorized= flag, not both"
-        )
-    return "numpy" if vectorized else "scalar"
-
-
 def compiled_engine() -> str | None:
-    """Concrete engine behind ``compiled`` (``numba``/``cc``/``None``)."""
+    """Concrete engine behind ``compiled`` (``cc`` or ``None``)."""
     from . import compiled
 
     return compiled.engine_name()
@@ -245,70 +166,3 @@ def min_latency_tables(
                 cycle, term, float(period_bound), int(n), int(p)
             )
     return reference.min_latency_tables_numpy(cycle, term, period_bound, n, p)
-
-
-def batch_terms(
-    comm: np.ndarray,
-    prefix: np.ndarray,
-    speeds: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    procs: np.ndarray,
-    offsets: np.ndarray,
-    n_stages: int,
-    homogeneous: bool,
-    bandwidth: float,
-    input_bandwidth: float,
-    output_bandwidth: float,
-    bmat: np.ndarray | None,
-    *,
-    backend: str | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise evaluate_batch terms under the selected backend.
-
-    The ``scalar`` backend never reaches this point
-    (:func:`repro.core.costs.evaluate_batch` serves it with the per-mapping
-    scalar evaluator), so anything non-compiled routes to numpy.
-    """
-    resolved = resolve_backend(backend)
-    if resolved == "compiled" and np.size(starts) >= ELEMENTWISE_COMPILED_MIN:
-        funcs = _compiled_functions()
-        if funcs is not None:
-            return funcs["batch_terms"](
-                comm, prefix, speeds, starts, ends, procs, offsets,
-                int(n_stages), bool(homogeneous), float(bandwidth),
-                float(input_bandwidth), float(output_bandwidth), bmat,
-            )
-    return reference.batch_terms_numpy(
-        comm, prefix, speeds, starts, ends, procs, offsets,
-        n_stages, homogeneous, bandwidth, input_bandwidth, output_bandwidth,
-        bmat,
-    )
-
-
-def interval_components(
-    prefix: np.ndarray,
-    comm: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    speeds: np.ndarray,
-    n_stages: int,
-    bandwidth: float,
-    input_bandwidth: float,
-    output_bandwidth: float,
-    *,
-    backend: str | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise splitting-engine components under the selected backend."""
-    resolved = resolve_backend(backend)
-    if resolved == "compiled" and np.size(starts) >= ELEMENTWISE_COMPILED_MIN:
-        funcs = _compiled_functions()
-        if funcs is not None:
-            return funcs["interval_components"](
-                prefix, comm, starts, ends, speeds, int(n_stages),
-                float(bandwidth), float(input_bandwidth), float(output_bandwidth),
-            )
-    return reference.interval_components_numpy(
-        prefix, comm, starts, ends, speeds, n_stages,
-        bandwidth, input_bandwidth, output_bandwidth,
-    )

@@ -1,17 +1,11 @@
-"""Reference implementations of the hot-path kernels (numpy + scalar).
+"""Reference implementations of the homogeneous-DP table kernels.
 
 These are the oracle semantics every other backend must reproduce:
 
-* the **numpy** table kernels are the broadcast/reduce DP inner loops that
-  used to live in :mod:`repro.exact.homogeneous_dp` (``vectorized=True``);
-* the **scalar** table kernels are the original Python loops
-  (``vectorized=False``), kept as the human-auditable baseline;
-* :func:`batch_terms_numpy` is the elementwise half of
-  :func:`repro.core.costs.evaluate_batch` — per-interval (cycle,
-  contribution, output) terms over the flat packed batch.  The final
-  ``reduceat`` reductions stay in :mod:`repro.core.costs` for *every*
-  backend, so a compiled backend that reproduces these terms bit for bit
-  yields bit-identical periods and latencies.
+* the **numpy** table kernels are the broadcast/reduce DP inner loops of
+  :mod:`repro.exact.homogeneous_dp`;
+* the **scalar** table kernels are the original Python loops, kept as the
+  human-auditable baseline.
 
 The compiled backend (:mod:`repro.core.kernels.compiled`) validates itself
 against these functions at load time and is rejected with a recorded reason
@@ -27,8 +21,6 @@ __all__ = [
     "min_period_tables_scalar",
     "min_latency_tables_numpy",
     "min_latency_tables_scalar",
-    "batch_terms_numpy",
-    "interval_components_numpy",
 ]
 
 _INF = float("inf")
@@ -142,85 +134,3 @@ def min_latency_tables_scalar(
             dp[k, i] = best
             parent[k, i] = best_j
     return dp, parent
-
-
-# --------------------------------------------------------------------------- #
-# evaluate_batch elementwise terms
-# --------------------------------------------------------------------------- #
-def batch_terms_numpy(
-    comm: np.ndarray,
-    prefix: np.ndarray,
-    speeds: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    procs: np.ndarray,
-    offsets: np.ndarray,
-    n_stages: int,
-    homogeneous: bool,
-    bandwidth: float,
-    input_bandwidth: float,
-    output_bandwidth: float,
-    bmat: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-interval (cycle, contribution, output_time) over a packed batch.
-
-    The flat intervals of mapping ``i`` occupy ``offsets[i]:offsets[i+1]``;
-    ``homogeneous`` selects the scalar-``bandwidth`` link model, otherwise
-    ``bmat`` supplies per-link bandwidths (``inf`` diagonal = free
-    intra-processor transfer).  Zero-size communications cost exactly 0.0.
-    """
-    firsts = offsets[:-1]
-    lasts = offsets[1:] - 1
-    proc_speeds = speeds[procs]
-    compute_time = (prefix[ends + 1] - prefix[starts]) / proc_speeds
-
-    is_first = np.zeros(starts.size, dtype=bool)
-    is_first[firsts] = True
-    is_last = np.zeros(starts.size, dtype=bool)
-    is_last[lasts] = True
-
-    if homogeneous:
-        in_bw = np.where(is_first, input_bandwidth, bandwidth)
-        out_bw = np.where(is_last, output_bandwidth, bandwidth)
-    else:
-        # interval j receives from alloc(j-1) and sends to alloc(j+1); the
-        # rolled indices at batch boundaries are masked out by is_first/is_last
-        prev_procs = np.roll(procs, 1)
-        next_procs = np.roll(procs, -1)
-        in_bw = np.where(is_first, input_bandwidth, bmat[prev_procs, procs])
-        out_bw = np.where(is_last, output_bandwidth, bmat[procs, next_procs])
-
-    delta_in = comm[starts]
-    delta_out = comm[ends + 1]
-    input_time = np.where(delta_in == 0.0, 0.0, delta_in / in_bw)
-    output_time = np.where(delta_out == 0.0, 0.0, delta_out / out_bw)
-
-    cycle = input_time + compute_time + output_time
-    contribution = input_time + compute_time
-    return cycle, contribution, output_time
-
-
-def interval_components_numpy(
-    prefix: np.ndarray,
-    comm: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    speeds: np.ndarray,
-    n_stages: int,
-    bandwidth: float,
-    input_bandwidth: float,
-    output_bandwidth: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise (input, compute, output) times of independent intervals.
-
-    The communication-homogeneous splitting-engine kernel: unlike
-    :func:`batch_terms_numpy` there is no zero-communication guard — the
-    historical :func:`repro.core.costs.interval_time_components` semantics
-    are preserved exactly.
-    """
-    in_bw = np.where(starts == 0, input_bandwidth, bandwidth)
-    out_bw = np.where(ends == n_stages - 1, output_bandwidth, bandwidth)
-    input_time = comm[starts] / in_bw
-    output_time = comm[ends + 1] / out_bw
-    compute_time = (prefix[ends + 1] - prefix[starts]) / speeds
-    return input_time, compute_time, output_time

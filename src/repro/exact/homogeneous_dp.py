@@ -19,11 +19,10 @@ platform the heuristics of Section 4 can never beat them.
 Both DPs dispatch their ``O(n^2)`` inner loops through
 :mod:`repro.core.kernels` behind a single ``backend`` knob: ``numpy`` (the
 broadcast/reduce reference, one ``(n, n)`` candidate matrix per processor
-level), ``scalar`` (the original Python loops, the historical
-``vectorized=False``), and ``compiled`` (numba or the built-in C library,
-validated bit-for-bit against the numpy tables).  The legacy ``vectorized=``
-flag is still accepted; ``benchmarks/bench_kernel_speedup.py`` records the
-backend speedups and the tests assert all paths agree.
+level), ``scalar`` (the original Python loops), and ``compiled`` (the
+built-in C library, validated bit-for-bit against the numpy tables).
+``benchmarks/bench_kernel_speedup.py`` records the backend speedups and the
+tests assert all paths agree.
 """
 
 from __future__ import annotations
@@ -34,12 +33,6 @@ from ..core import kernels
 from ..core.application import PipelineApplication
 from ..core.costs import evaluate
 from ..core.exceptions import InfeasibleError, InvalidPlatformError
-from ..core.kernels.reference import (  # noqa: F401 - historical aliases
-    min_latency_tables_numpy as _min_latency_tables_vectorized,
-    min_latency_tables_scalar as _min_latency_tables_scalar,
-    min_period_tables_numpy as _min_period_tables_vectorized,
-    min_period_tables_scalar as _min_period_tables_scalar,
-)
 from ..core.mapping import Interval, IntervalMapping
 from ..core.platform import Platform
 
@@ -172,11 +165,10 @@ def homogeneous_min_period(
     app: PipelineApplication,
     platform: Platform,
     *,
-    vectorized: bool | None = None,
     backend: str | None = None,
 ) -> tuple[IntervalMapping, float]:
     """Optimal-period interval mapping on a fully homogeneous platform."""
-    resolved = kernels.backend_from_flags(backend, vectorized)
+    resolved = kernels.resolve_backend(backend)
     n = app.n_stages
     p = min(platform.n_processors, n)
     if resolved == "scalar":
@@ -198,11 +190,10 @@ def homogeneous_min_latency_for_period(
     platform: Platform,
     period_bound: float,
     *,
-    vectorized: bool | None = None,
     backend: str | None = None,
 ) -> tuple[IntervalMapping, float]:
     """Optimal latency subject to ``period <= period_bound`` (homogeneous case)."""
-    resolved = kernels.backend_from_flags(backend, vectorized)
+    resolved = kernels.resolve_backend(backend)
     n = app.n_stages
     p = min(platform.n_processors, n)
     if resolved == "scalar":
@@ -233,7 +224,6 @@ def homogeneous_min_period_for_latency(
     platform: Platform,
     latency_bound: float,
     *,
-    vectorized: bool | None = None,
     backend: str | None = None,
 ) -> tuple[IntervalMapping, float]:
     """Optimal period subject to ``latency <= latency_bound`` (homogeneous case).
@@ -242,7 +232,7 @@ def homogeneous_min_period_for_latency(
     exact binary search over the sorted candidate values is performed, using
     :func:`homogeneous_min_latency_for_period` as the feasibility oracle.
     """
-    resolved = kernels.backend_from_flags(backend, vectorized)
+    resolved = kernels.resolve_backend(backend)
     if resolved == "scalar":
         cycle = _cycle_matrix_scalar(app, platform)
     else:

@@ -4,7 +4,7 @@ The scenario layer earns trust in the solver stack the way the related
 structural-analysis reproductions do: by validating against large randomised
 samples instead of hand-picked examples.  It is organised bottom-up:
 
-* :mod:`~repro.scenarios.hashing` — canonical instance identity;
+* canonical instance identity, re-exported from :mod:`repro.core.identity`;
 * :mod:`~repro.scenarios.families` — parameterised scenario families
   (homogeneous/heterogeneous chains, degenerate and adversarial corners) and
   deterministic stream generation, including experiment-layer glue;
@@ -18,6 +18,7 @@ samples instead of hand-picked examples.  It is organised bottom-up:
   subcommand).
 """
 
+from ..core.identity import canonical_instance_document, instance_digest
 from .corpus import (
     CORPUS_SCHEMA,
     CorpusEntry,
@@ -39,7 +40,6 @@ from .families import (
     scenario_sweep_config,
 )
 from .harness import Counterexample, FuzzReport, render_fuzz_report, run_fuzz
-from .hashing import canonical_instance_document, instance_digest
 from .shrink import ShrinkResult, shrink_instance
 
 __all__ = [

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from ..core.application import PipelineApplication
+from ..core.identity import instance_digest
 from ..core.platform import Platform
 from ..core.serialization import (
     SerializationError,
@@ -41,7 +42,6 @@ from ..core.serialization import (
     platform_from_dict,
     platform_to_dict,
 )
-from .hashing import instance_digest
 
 __all__ = [
     "CORPUS_SCHEMA",

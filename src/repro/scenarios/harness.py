@@ -33,6 +33,7 @@ from typing import Iterable
 
 from ..core import kernels
 from ..core.application import PipelineApplication
+from ..core.identity import instance_digest
 from ..core.platform import Platform
 from ..core.serialization import application_to_dict, platform_to_dict
 from ..workloads.engine import execute_plan
@@ -40,7 +41,6 @@ from ..workloads.plan import differential_plan
 from .corpus import save_counterexample
 from .differential import differential_check
 from .families import generate_scenarios, resolve_families
-from .hashing import instance_digest
 from .shrink import shrink_instance
 
 __all__ = ["Counterexample", "FuzzReport", "run_fuzz", "render_fuzz_report"]

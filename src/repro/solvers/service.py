@@ -37,7 +37,7 @@ from ..core import kernels
 from ..core.exceptions import ConfigurationError
 from ..core.identity import instance_digest
 from ..utils.parallel import WorkerPool, parallel_map, resolve_worker_count
-from ..utils.shm import InstanceArena, InstanceRef, resolve_instance
+from ..utils.shm import InstanceArena, InstanceRef, arena_pays, resolve_instance
 from .base import Objective, SolveRequest, SolveResult
 from .frontier import frontier_eligible, frontier_solve
 from .registry import Solver, as_solver, resolve_solvers
@@ -172,10 +172,6 @@ def _solve_ref_task(
     return handle.solve(app, platform, request)
 
 
-#: valid values of the ``transport`` knob of :func:`solve_many`
-_TRANSPORTS = ("auto", "shm", "pickle")
-
-
 def _resolve_handles(solvers: Any) -> list[Solver]:
     """Solver selection -> handles (group string, names, handles, heuristics)."""
     if solvers is None or isinstance(solvers, str):
@@ -197,7 +193,6 @@ def solve_many(
     batch_size: int | None = None,
     cache: "SolveCache | None" = None,
     backend: str | None = None,
-    transport: str = "auto",
     pool: WorkerPool | None = None,
 ) -> BatchResult:
     """Solve every instance with every selected solver, doing minimal work.
@@ -234,15 +229,9 @@ def solve_many(
         Kernel backend (:mod:`repro.core.kernels`) active for the whole
         batch, in the parent and every worker; ``None`` keeps the current
         active backend.  Results are byte-identical across ``numpy`` and
-        ``compiled`` (the compiled engines are validated bit-for-bit), so
+        ``compiled`` (the compiled engine is validated bit-for-bit), so
         the backend is stamped on results as provenance but excluded from
         cache keys.
-    transport:
-        How instances reach pool workers: ``"auto"`` publishes the unique
-        cache-missing instances once into a shared-memory arena
-        (:mod:`repro.utils.shm`) and ships digest-sized refs per task,
-        ``"pickle"`` forces the legacy per-task instance pickling,
-        ``"shm"`` forces the arena even for serial runs (tests).
     pool:
         A persistent :class:`~repro.utils.parallel.WorkerPool` to ship the
         cache misses through instead of the per-call pool — the solver
@@ -250,10 +239,6 @@ def solve_many(
         start-up.  When given, the pool's worker count wins over
         ``workers=``; results stay byte-identical either way.
     """
-    if transport not in _TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown transport {transport!r}; expected one of {', '.join(_TRANSPORTS)}"
-        )
     with kernels.use_backend(backend):
         return _solve_many_active(
             instances,
@@ -265,7 +250,6 @@ def solve_many(
             workers=workers,
             batch_size=batch_size,
             cache=cache,
-            transport=transport,
             pool=pool,
         )
 
@@ -281,7 +265,6 @@ def _solve_many_active(
     workers: int | None,
     batch_size: int | None,
     cache: "SolveCache | None",
-    transport: str,
     pool: WorkerPool | None = None,
 ) -> BatchResult:
     """The batch pipeline, run under the already-active kernel backend."""
@@ -332,10 +315,7 @@ def _solve_many_active(
 
     # -- ship the misses: shared-memory refs when pooling, objects serially - #
     n_workers = pool.workers if pool is not None else resolve_worker_count(workers)
-    use_arena = transport == "shm" or (
-        transport == "auto" and n_workers > 1 and len(misses) > 1
-    )
-    if use_arena:
+    if arena_pays(n_workers, len(misses)):
         with InstanceArena(
             (unique_tasks[u][1], unique_tasks[u][2]) for u in misses
         ) as arena:

@@ -47,6 +47,7 @@ __all__ = [
     "InstanceRef",
     "InstanceShipment",
     "InstanceArena",
+    "arena_pays",
     "shm_supported",
     "resolve_instance",
     "worker_attach_counts",
@@ -71,6 +72,16 @@ def _close_live_arenas() -> None:
 
 
 atexit.register(_close_live_arenas)
+
+
+def arena_pays(n_workers: int, n_tasks: int) -> bool:
+    """Whether instances should reach the workers through an arena.
+
+    Only a real pool (``n_workers > 1``) with more than one task to share
+    the published instances gains from the arena; serial and single-task
+    runs hand the objects over directly.
+    """
+    return n_workers > 1 and n_tasks > 1
 
 
 def shm_supported() -> bool:

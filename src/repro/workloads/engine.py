@@ -57,7 +57,7 @@ from ..solvers.base import SolveResult
 from ..solvers.frontier import frontier_eligible, frontier_enabled
 from ..solvers.service import solve_frontier_many, solve_many
 from ..utils.parallel import parallel_map, resolve_worker_count
-from ..utils.shm import InstanceArena, resolve_instance
+from ..utils.shm import InstanceArena, arena_pays, resolve_instance
 from ..utils.tables import format_table
 from .plan import WorkloadPlan, WorkloadTask, shard_tasks
 from .sinks import RunningAggregate, differential_row, solve_row
@@ -580,7 +580,6 @@ def execute_plan(
     max_tasks: int | None = None,
     shard: tuple[int, int] | None = None,
     backend: str | None = None,
-    transport: str = "auto",
     frontier: bool | None = None,
 ) -> WorkloadRun:
     """Execute a plan's incomplete tasks; checkpoint and replay via ``journal``.
@@ -618,11 +617,6 @@ def execute_plan(
         run, mirrored into every pool worker; ``None`` keeps the current
         active backend.  Reports and sinks are byte-identical across
         ``numpy`` and ``compiled``.
-    transport:
-        Instance transport for pooled execution, as in
-        :func:`repro.solvers.service.solve_many`: ``"auto"`` ships each
-        unique instance to each worker at most once through a shared-memory
-        arena, ``"pickle"`` forces the legacy per-task pickling.
     frontier:
         Frontier routing: solve-task groups identical up to their threshold
         on a frontier-capable solver are answered through one
@@ -643,7 +637,6 @@ def execute_plan(
             cache=cache,
             max_tasks=max_tasks,
             shard=shard,
-            transport=transport,
             frontier=frontier,
         )
 
@@ -658,7 +651,6 @@ def _execute_plan_active(
     cache: "SolveCache | None",
     max_tasks: int | None,
     shard: tuple[int, int] | None,
-    transport: str,
     frontier: bool | None = None,
 ) -> WorkloadRun:
     """The execution loop, run under the already-active kernel backend."""
@@ -736,7 +728,6 @@ def _execute_plan_active(
                     workers=workers,
                     batch_size=batch_size,
                     cache=cache,
-                    transport=transport,
                 )
                 n_cache_hits += outcome.stats.n_cache_hits
                 n_solved += outcome.stats.n_solved
@@ -760,12 +751,7 @@ def _execute_plan_active(
             for start in range(0, len(batch), step):
                 chunk = batch[start : start + step]
                 pairs = [plan.pair_for(task.instance_hash) for task in chunk]
-                use_arena = transport == "shm" or (
-                    transport == "auto"
-                    and resolve_worker_count(workers) > 1
-                    and len(pairs) > 1
-                )
-                if use_arena:
+                if arena_pays(resolve_worker_count(workers), len(pairs)):
                     with InstanceArena(pairs) as arena:
                         reports = parallel_map(
                             partial(_oracle_task, n_datasets, cache),

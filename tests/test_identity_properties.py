@@ -1,6 +1,6 @@
 """Canonical identity properties: rename/dtype invariance, corpus stability.
 
-The `core/identity.py` promotion (out of ``scenarios/hashing.py``) is only
+The `core/identity.py` promotion (out of the scenario layer) is only
 safe if the digests are bit-for-bit unchanged — the regression corpus under
 ``tests/corpus/`` embeds them in file names and documents.  These tests pin
 down the contract:
@@ -12,8 +12,7 @@ down the contract:
 * the digest-assembly optimisation (concatenating the cached per-object
   payloads) is byte-identical to hashing the canonical document directly;
 * every corpus fixture's stored digest matches the promoted implementation,
-  and the legacy ``repro.scenarios.hashing`` module re-exports the very
-  same functions.
+  and :mod:`repro.scenarios` re-exports the very same functions.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.core.serialization import (
     platform_from_dict,
     platform_to_dict,
 )
-from repro.scenarios import hashing as legacy_hashing
+import repro.scenarios
 from repro.scenarios.corpus import load_corpus
 from repro.solvers.base import SolveRequest
 
@@ -153,10 +152,10 @@ class TestDigestAssembly:
 
 
 class TestCorpusStability:
-    def test_legacy_module_reexports_the_core_functions(self):
-        assert legacy_hashing.instance_digest is instance_digest
+    def test_scenarios_package_reexports_the_core_functions(self):
+        assert repro.scenarios.instance_digest is instance_digest
         assert (
-            legacy_hashing.canonical_instance_document
+            repro.scenarios.canonical_instance_document
             is canonical_instance_document
         )
 

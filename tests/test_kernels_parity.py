@@ -2,9 +2,9 @@
 
 The backend contract (:mod:`repro.core.kernels`) is two-tiered:
 
-* ``compiled`` is **bit-identical** to ``numpy`` — the engines compute the
-  same elementwise terms and every reduction stays in numpy, so periods,
-  latencies and DP tables match to the last bit;
+* ``compiled`` is **bit-identical** to ``numpy`` — the ``cc`` engine's DP
+  tables match the numpy tables to the last bit, and the elementwise cost
+  terms run in numpy under both backends;
 * ``scalar`` (the independently-auditable Python loops) agrees within
   1e-9 relative — same mathematics, different summation order.
 
@@ -18,15 +18,13 @@ green when the compiled kernels serve the hot paths.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
-from repro.core.costs import evaluate, evaluate_batch
-from repro.core.kernels import compiled, dispatch, reference
+from repro.core.costs import evaluate, evaluate_batch, interval_time_components
+from repro.core.kernels import compiled, reference
 from repro.core.mapping import IntervalMapping
 from repro.core.platform import Platform
 from repro.exact.homogeneous_dp import (
@@ -44,22 +42,6 @@ from tests.test_corpus_replay import CORPUS_DIR
 _REL_TOL = 1e-9
 
 ENTRIES = load_corpus(CORPUS_DIR)
-
-
-@contextmanager
-def _compiled_floor(value: int):
-    """Temporarily lower the elementwise dispatch floor.
-
-    The dispatcher routes small batches to numpy on purpose (marshalling
-    overhead); parity tests must force the compiled elementwise kernels to
-    actually run on small hypothesis-sized batches.
-    """
-    previous = dispatch.ELEMENTWISE_COMPILED_MIN
-    dispatch.ELEMENTWISE_COMPILED_MIN = value
-    try:
-        yield
-    finally:
-        dispatch.ELEMENTWISE_COMPILED_MIN = previous
 
 
 # ----------------------------------------------------------------------------- #
@@ -90,22 +72,70 @@ def _random_mappings(app, platform, seed: int, count: int = 6):
 
 
 # ----------------------------------------------------------------------------- #
+# engine selection: cc or nothing
+# ----------------------------------------------------------------------------- #
+class TestEngineSelection:
+    def test_engine_is_cc_or_none_with_a_reason(self):
+        engine = kernels.compiled_engine()
+        assert engine in ("cc", None)
+        assert (engine is None) == (kernels.compiled_unavailable_reason() is not None)
+
+    @pytest.mark.parametrize("value", ["all", "1", "cc"])
+    def test_disable_switch_falls_back_to_numpy(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_KERNELS_DISABLE", value)
+        compiled.reset()
+        try:
+            assert kernels.compiled_engine() is None
+            assert "cc" in kernels.compiled_unavailable_reason()
+            cycle = np.triu(np.arange(1.0, 26.0).reshape(5, 5))
+            cycle[np.tril_indices(5, k=-1)] = np.inf
+            got = kernels.min_period_tables(cycle, 5, 3, backend="compiled")
+            want = reference.min_period_tables_numpy(cycle, 5, 3)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        finally:
+            monkeypatch.delenv("REPRO_KERNELS_DISABLE")
+            compiled.reset()
+
+
+# ----------------------------------------------------------------------------- #
 # elementwise kernels: evaluate_batch across backends
 # ----------------------------------------------------------------------------- #
 class TestBatchParity:
     @given(case=scenario_instances(), mapping_seed=st.integers(0, 2**16))
     @settings(max_examples=100, deadline=None)
     def test_compiled_bit_identical_to_numpy(self, case, mapping_seed):
-        """Property: compiled evaluate_batch == numpy, bit for bit."""
+        """Property: under compiled, evaluate_batch and
+        interval_time_components equal numpy, bit for bit."""
         app, platform = case
         mappings = _random_mappings(app, platform, mapping_seed)
-        with _compiled_floor(0):
-            with kernels.use_backend("numpy"):
-                ref = evaluate_batch(app, platform, mappings)
-            with kernels.use_backend("compiled"):
-                got = evaluate_batch(app, platform, mappings)
+        starts = np.array([iv.start for m in mappings for iv in m.intervals])
+        ends = np.array([iv.end for m in mappings for iv in m.intervals])
+        speeds = platform.speeds[[u for m in mappings for u in m.processors]]
+        bandwidth = (
+            platform.uniform_bandwidth
+            if platform.is_communication_homogeneous
+            else 1.0
+        )
+
+        def run():
+            batch = evaluate_batch(app, platform, mappings)
+            parts = interval_time_components(
+                app.work_prefix, app.comm_sizes, starts, ends, speeds,
+                bandwidth=bandwidth,
+                input_bandwidth=platform.input_bandwidth,
+                output_bandwidth=platform.output_bandwidth,
+                n_stages=app.n_stages,
+            )
+            return batch, parts
+
+        with kernels.use_backend("numpy"):
+            ref, ref_parts = run()
+        with kernels.use_backend("compiled"):
+            got, got_parts = run()
         assert (ref.periods == got.periods).all()
         assert (ref.latencies == got.latencies).all()
+        for want, have in zip(ref_parts, got_parts):
+            assert np.array_equal(want, have)
 
     @given(case=scenario_instances(), mapping_seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
@@ -113,7 +143,7 @@ class TestBatchParity:
         """Property: the scalar loops agree with the batch within 1e-9."""
         app, platform = case
         mappings = _random_mappings(app, platform, mapping_seed)
-        with kernels.use_backend("compiled"), _compiled_floor(0):
+        with kernels.use_backend("compiled"):
             batch = evaluate_batch(app, platform, mappings)
         for i, mapping in enumerate(mappings):
             scalar = evaluate(app, platform, mapping)
@@ -178,8 +208,8 @@ class TestHomogeneousDpParity:
     def test_raw_table_kernels_bit_identical(self, n, p, seed):
         """The engine's table kernels match numpy exactly on random inputs.
 
-        Bypasses the dispatcher so the test is meaningful even when a floor
-        or routing rule changes; skip-free because it only runs when an
+        Bypasses the dispatcher so the test is meaningful even when a
+        routing rule changes; skip-free because it only runs when an
         engine actually loaded (otherwise dispatch == numpy trivially and
         the other tests still hold).
         """

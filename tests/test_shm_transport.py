@@ -8,8 +8,8 @@ Contracts under test:
   no matter how many tasks reference it — asserted from inside real pool
   workers via :func:`repro.utils.shm.worker_attach_counts`;
 * rehydrated instances are exact: the canonical JSON payloads round-trip
-  the float values bit for bit, so pooled reports stay byte-identical to
-  serial ones under every ``transport`` knob;
+  the float values bit for bit, so pooled reports (arena refs) stay
+  byte-identical to serial ones (objects handed over directly);
 * the transport degrades gracefully: no ``/dev/shm`` (``REPRO_DISABLE_SHM``)
   means inline bytes through the initializer — still once per worker;
 * the mapped function travels through the pool **initializer**, never
@@ -23,7 +23,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import signal
 import subprocess
 import sys
 import time
@@ -74,6 +73,11 @@ class TestInstanceArena:
                 assert arena.ref(app, platform) == InstanceRef(
                     instance_digest(app, platform)
                 )
+
+    def test_arena_only_for_a_real_pool_with_several_tasks(self):
+        assert shm.arena_pays(2, 2)
+        assert not shm.arena_pays(1, 10)
+        assert not shm.arena_pays(4, 1)
 
     def test_ref_of_unpublished_instance_raises(self):
         first, second = _instances(2)
@@ -217,7 +221,9 @@ class TestShipOnce:
             )
         assert len(snapshots) == len(refs)
         worker_pids = {pid for pid, _, _ in snapshots}
-        assert len(worker_pids) > 1  # the pool actually ran
+        # the pool actually ran: every snapshot comes from a pool worker (a
+        # single worker may take every batch; the pool never promised more)
+        assert os.getpid() not in worker_pids
         for _, _, counts in snapshots:
             assert counts  # instrumentation is live in the workers
             assert all(count == 1 for count in counts.values())
@@ -237,7 +243,7 @@ class TestShipOnce:
 
 
 # ----------------------------------------------------------------------------- #
-# end-to-end identity across transports and backends
+# end-to-end identity across pooling and backends
 # ----------------------------------------------------------------------------- #
 def _identity_bytes(batch) -> list[bytes]:
     return [
@@ -248,20 +254,13 @@ def _identity_bytes(batch) -> list[bytes]:
 class TestTransportIdentity:
     SOLVERS = ("H1", "H4", "bitmask-dp-latency-for-period")
 
-    def test_pooled_equals_serial_under_every_transport(self):
+    def test_pooled_equals_serial(self):
         instances = _instances(5) * 2  # repeats exercise dedupe + memoisation
         serial = solve_many(instances, self.SOLVERS, period_bound=9.0)
-        reference = _identity_bytes(serial)
-        for transport in ("auto", "shm", "pickle"):
-            pooled = solve_many(
-                instances,
-                self.SOLVERS,
-                period_bound=9.0,
-                workers=2,
-                batch_size=2,
-                transport=transport,
-            )
-            assert _identity_bytes(pooled) == reference, transport
+        pooled = solve_many(
+            instances, self.SOLVERS, period_bound=9.0, workers=2, batch_size=2
+        )
+        assert _identity_bytes(pooled) == _identity_bytes(serial)
 
     def test_identity_holds_with_and_without_compiled_engines(self, monkeypatch):
         """Serial == pooled == compiled-less, byte for byte."""
@@ -277,7 +276,6 @@ class TestTransportIdentity:
             period_bound=9.0,
             workers=2,
             backend="compiled",
-            transport="shm",
         )
         assert _identity_bytes(with_engine) == reference
         monkeypatch.setenv("REPRO_KERNELS_DISABLE", "all")
@@ -290,7 +288,6 @@ class TestTransportIdentity:
                 period_bound=9.0,
                 workers=2,
                 backend="compiled",
-                transport="shm",
             )
         finally:
             monkeypatch.delenv("REPRO_KERNELS_DISABLE")
