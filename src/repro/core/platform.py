@@ -101,6 +101,8 @@ class Platform:
         "name",
         "_canonical_payload",
         "_canonical_hash",
+        "_platform_class",
+        "_speed_order",
     )
 
     def __init__(
@@ -158,6 +160,10 @@ class Platform:
         # above are frozen, so the cached values can never go stale
         self._canonical_payload: bytes | None = None
         self._canonical_hash: str | None = None
+        # classification and speed-order caches, equally safe: the splitting
+        # heuristics read both once per run
+        self._platform_class: PlatformClass | None = None
+        self._speed_order: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -252,7 +258,12 @@ class Platform:
     # ------------------------------------------------------------------ #
     @property
     def platform_class(self) -> PlatformClass:
-        """Classify the platform following the paper's taxonomy."""
+        """Classify the platform following the paper's taxonomy (cached)."""
+        if self._platform_class is None:
+            self._platform_class = self._classify()
+        return self._platform_class
+
+    def _classify(self) -> PlatformClass:
         homogeneous_speeds = bool(np.allclose(self._speeds, self._speeds[0]))
         if self._scalar_bandwidth is not None:
             homogeneous_links = True
@@ -291,12 +302,15 @@ class Platform:
 
         The heuristics of Section 4 always consume processors in non-increasing
         speed order; ties are broken by index so results are deterministic.
+        Returns a fresh list on every call; the descending order is cached.
         """
-        order = sorted(
-            range(self.n_processors),
-            key=lambda u: (-self._speeds[u], u) if descending else (self._speeds[u], u),
-        )
-        return order
+        if not descending:
+            return sorted(range(self.n_processors), key=lambda u: (self._speeds[u], u))
+        if self._speed_order is None:
+            self._speed_order = tuple(
+                sorted(range(self.n_processors), key=lambda u: (-self._speeds[u], u))
+            )
+        return list(self._speed_order)
 
     @property
     def fastest_processor(self) -> int:

@@ -25,6 +25,7 @@ from ..core.costs import evaluate
 from ..core.exceptions import ConfigurationError
 from ..core.mapping import IntervalMapping
 from ..core.platform import Platform
+from ..core.tolerance import fits
 
 __all__ = [
     "Objective",
@@ -149,9 +150,9 @@ class PipelineHeuristic(abc.ABC):
     ) -> HeuristicResult:
         ev = evaluate(app, platform, mapping)
         if self.objective == Objective.MIN_LATENCY_FOR_PERIOD:
-            feasible = ev.period <= bound * (1 + 1e-9) + 1e-12
+            feasible = fits(ev.period, bound)
         else:
-            feasible = ev.latency <= bound * (1 + 1e-9) + 1e-12
+            feasible = fits(ev.latency, bound)
         return HeuristicResult(
             heuristic=self.name,
             mapping=mapping,

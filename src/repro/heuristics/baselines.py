@@ -28,6 +28,7 @@ from ..core.application import PipelineApplication
 from ..core.costs import evaluate
 from ..core.mapping import IntervalMapping
 from ..core.platform import Platform
+from ..core.tolerance import fits
 from ..utils.rng import ensure_rng
 from .base import FixedPeriodHeuristic, HeuristicResult
 
@@ -71,7 +72,7 @@ class ChainsPartitionBaseline(FixedPeriodHeuristic):
             if ev.period < best_period:
                 best_mapping, best_period = mapping, ev.period
                 chosen_m = m
-            if ev.period <= bound * (1 + 1e-9) + 1e-12:
+            if fits(ev.period, bound):
                 best_mapping, best_period = mapping, ev.period
                 chosen_m = m
                 break

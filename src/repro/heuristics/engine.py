@@ -12,9 +12,21 @@ All six heuristics of the paper work on the same internal state:
   rule (the ``Δlatency / Δperiod`` ratio), possibly under a latency cap.
 
 The engine below maintains that state incrementally (cycle time and latency
-contribution per interval) and evaluates *all* candidate cuts of a step with
-vectorised NumPy computations, which keeps the experiment harness (hundreds of
-thousands of heuristic runs for the figures) fast.
+contribution per interval) and evaluates *all* candidates of a step in one
+fused scorer: the part works and boundary communications of every cut
+position are sliced from prefix sums into flat ``(parts, positions)``
+arrays, every assignment pattern (orientation or permutation) is scored at
+once as a ``(patterns, parts, positions)`` block, and one masked ``lexsort``
+ranks the flattened, pattern-major candidates by ``(score, local max cycle,
+new latency)``.  This keeps the experiment harness (hundreds of thousands of
+heuristic runs for the figures) fast.
+
+Under a latency cap the choice is the first improving candidate in rank
+order whose new latency fits the cap, so it is a step function of the cap:
+each returned candidate records ``blocked_at``, the cap limit from which a
+candidate ranked ahead of it becomes the choice.  Sp-bi-P's bisection
+(:mod:`repro.heuristics.binary_search`) replays these *cap windows* instead
+of re-ranking steps an earlier probe already settled.
 
 The engine assumes a communication-homogeneous platform, as in the paper; the
 fully heterogeneous extension lives in :mod:`repro.extensions`.
@@ -22,14 +34,15 @@ fully heterogeneous extension lives in :mod:`repro.extensions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from ..core import tolerance
 from ..core.application import PipelineApplication
-from ..core.costs import interval_time_components
 from ..core.exceptions import InvalidPlatformError
 from ..core.mapping import Interval, IntervalMapping
 from ..core.platform import Platform
@@ -67,6 +80,10 @@ class SplitCandidate:
     old_cycle: float
     old_latency: float
     score: float
+    #: smallest new latency among the candidates ranked ahead of this one
+    #: but over the latency cap (``inf`` when none were); the same candidate
+    #: wins under every cap limit in ``[new_latency, blocked_at)``
+    blocked_at: float = field(default=math.inf, compare=False)
 
     @property
     def local_max_cycle(self) -> float:
@@ -129,42 +146,22 @@ class SplittingState:
         self.intervals: list[Interval] = [Interval(0, self._n - 1)]
         self.processors: list[int] = [fastest]
         self._unused: list[int] = list(order[1:])
-        cycle, contrib = self._interval_metrics(0, self._n - 1, fastest)
-        self._cycles: list[float] = [cycle]
-        self._contribs: list[float] = [contrib]
+        contrib = self._input_time(0) + (
+            self._prefix[self._n] - self._prefix[0]
+        ) / self._speeds[fastest]
+        self._cycles: list[float] = [float(contrib + self._output_time(self._n - 1))]
+        self._contribs: list[float] = [float(contrib)]
 
     # ------------------------------------------------------------------ #
     # metric helpers
     # ------------------------------------------------------------------ #
-    def _interval_metrics(self, d: int, e: int, proc: int) -> tuple[float, float]:
-        """Cycle time and latency contribution of interval ``[d, e]`` on ``proc``."""
-        input_time, work_time, output_time = self._part_times(d, e, float(self._speeds[proc]))
-        return float(input_time + work_time + output_time), float(input_time + work_time)
+    def _input_time(self, d: int) -> float:
+        """Time to receive ``delta_d``: the platform input link at stage 0."""
+        return self._comm[d] / (self._b_in if d == 0 else self._b)
 
-    def _part_times(
-        self,
-        starts: np.ndarray | int,
-        ends: np.ndarray | int,
-        speed: float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(input, compute, output) times of candidate parts, via the shared kernel.
-
-        Thin wrapper over :func:`repro.core.costs.interval_time_components`
-        with this state's platform constants bound; the candidate generators
-        call it with ``speed=1.0`` to get raw work sums they then divide by
-        each processor speed under consideration.
-        """
-        return interval_time_components(
-            self._prefix,
-            self._comm,
-            starts,
-            ends,
-            speed,
-            bandwidth=self._b,
-            input_bandwidth=self._b_in,
-            output_bandwidth=self._b_out,
-            n_stages=self._n,
-        )
+    def _output_time(self, e: int) -> float:
+        """Time to send ``delta_{e+1}``: the platform output link at the end."""
+        return self._comm[e + 1] / (self._b_out if e == self._n - 1 else self._b)
 
     # ------------------------------------------------------------------ #
     # state queries
@@ -186,7 +183,7 @@ class SplittingState:
     @property
     def bottleneck_index(self) -> int:
         """Index of the interval with the largest cycle time (ties: first)."""
-        return int(np.argmax(self._cycles))
+        return self._cycles.index(max(self._cycles))
 
     def cycle(self, j: int) -> float:
         return self._cycles[j]
@@ -210,102 +207,100 @@ class SplittingState:
     # ------------------------------------------------------------------ #
     # candidate generation
     # ------------------------------------------------------------------ #
-    def _other_max_cycle(self, j: int) -> float:
-        return max(
-            (c for k, c in enumerate(self._cycles) if k != j), default=0.0
-        )
-
-    def _base_latency_without(self, j: int) -> float:
-        return sum(self._contribs) - self._contribs[j] + self._tail
-
-    def _select(
+    def _best_split(
         self,
         j: int,
-        pieces: list[dict[str, np.ndarray | tuple[int, ...] | list[Interval]]],
+        patterns: Sequence[tuple[int, ...]],
+        boundaries: np.ndarray,
+        works: np.ndarray,
+        intervals_at: Callable[[int], list[Interval]],
         rule: str,
         latency_cap: float | None,
         require_improvement: bool,
     ) -> SplitCandidate | None:
-        """Pick the best candidate among vectorised blocks of candidates.
+        """Score every (pattern, position) candidate of a split and pick one.
 
-        Each entry of ``pieces`` describes one *assignment pattern* (an
-        orientation of a 2-way split or a processor permutation of a 3-way
-        split) with per-cut arrays of cycle times and latency contributions.
+        ``patterns`` lists the processor assignments of the parts (both
+        orientations of a 2-way split, the ``3!`` permutations of a 3-way
+        one).  ``works`` holds the raw work of each part per cut position,
+        shape ``(parts, positions)``, and ``boundaries`` the communication
+        time of each part boundary, shape ``(parts + 1, positions)``: part
+        ``k`` reads row ``k`` and writes row ``k + 1``.  ``intervals_at``
+        maps a position to the parts' intervals.
+
+        Candidates are ranked pattern-major by ``(score, local max cycle,
+        new latency)``, lowest flat index first on ties.  Under a latency
+        cap the choice is the first improving candidate in that order whose
+        new latency fits the cap; its ``blocked_at`` is the smallest new
+        latency among the candidates ranked ahead of it (all over the cap),
+        so the same choice holds for every cap limit in ``[new_latency,
+        blocked_at)``.
         """
         old_cycle = self._cycles[j]
-        old_latency = self.latency
-        other_max = self._other_max_cycle(j)
-        base_latency = self._base_latency_without(j)
+        total = sum(self._contribs)
+        old_latency = total + self._tail
+        base_latency = total - self._contribs[j] + self._tail
+        margin = _EPS * (1.0 + old_cycle)
 
-        best: SplitCandidate | None = None
-        best_rank: tuple[float, float, float] | None = None
-        improvement_margin = _EPS * (1.0 + old_cycle)
-        cap = None
+        speeds = self._speeds[np.array(patterns)]  # (patterns, parts)
+        contribs = boundaries[:-1] + works / speeds[:, :, np.newaxis]
+        cycles = contribs + boundaries[1:]  # (patterns, parts, positions)
+        local_max = cycles.max(axis=1)
+        parts_sum = contribs[:, 0]
+        for k in range(1, contribs.shape[1]):
+            parts_sum = parts_sum + contribs[:, k]
+        new_latency = base_latency + parts_sum  # (patterns, positions)
+
+        if rule == SelectionRule.MONO:
+            score = local_max
+        elif rule == SelectionRule.RATIO:
+            delta_per = old_cycle - cycles
+            ratios = np.full(cycles.shape, np.inf)
+            np.divide(
+                (new_latency - old_latency)[:, np.newaxis, :],
+                delta_per,
+                out=ratios,
+                where=delta_per > margin,
+            )
+            score = ratios.max(axis=1)
+        else:  # pragma: no cover - defensive
+            raise ValueError(f"unknown selection rule {rule!r}")
+
+        flat_latency = new_latency.ravel()
+        flat_max = local_max.ravel()
+        flat_score = score.ravel()
+        if require_improvement:
+            ranked = np.flatnonzero(flat_max < old_cycle - margin)
+        else:
+            ranked = np.arange(flat_max.size)
+        ranked = ranked[
+            np.lexsort((flat_latency[ranked], flat_max[ranked], flat_score[ranked]))
+        ]
+        if ranked.size == 0:
+            return None
+        pick, blocked_at = 0, math.inf
         if latency_cap is not None:
-            cap = latency_cap * (1 + 1e-9) + 1e-12
-
-        for piece in pieces:
-            cycles = np.vstack(piece["cycles"])  # shape (n_parts, n_cuts)
-            contribs = np.vstack(piece["contribs"])
-            local_max = cycles.max(axis=0)
-            new_latency = base_latency + contribs.sum(axis=0)
-
-            mask = np.ones(local_max.shape, dtype=bool)
-            if require_improvement:
-                mask &= local_max < old_cycle - improvement_margin
-            if cap is not None:
-                mask &= new_latency <= cap
-            if not mask.any():
-                continue
-
-            if rule == SelectionRule.MONO:
-                score = local_max
-            elif rule == SelectionRule.RATIO:
-                delta_lat = new_latency - old_latency
-                delta_per = old_cycle - cycles  # per part
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = np.where(
-                        delta_per > improvement_margin,
-                        delta_lat[np.newaxis, :] / delta_per,
-                        np.inf,
-                    )
-                score = ratios.max(axis=0)
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown selection rule {rule!r}")
-
-            candidate_indices = np.nonzero(mask)[0]
-            sub_rank = np.lexsort(
-                (
-                    new_latency[candidate_indices],
-                    local_max[candidate_indices],
-                    score[candidate_indices],
-                )
-            )
-            idx = int(candidate_indices[sub_rank[0]])
-            rank = (
-                float(score[idx]),
-                float(local_max[idx]),
-                float(new_latency[idx]),
-            )
-            if best_rank is None or rank < best_rank:
-                intervals = piece["interval_builder"](idx)
-                procs = piece["processors"]
-                best = SplitCandidate(
-                    interval_index=j,
-                    new_intervals=tuple(intervals),
-                    new_processors=tuple(procs),
-                    new_cycles=tuple(float(cycles[k, idx]) for k in range(cycles.shape[0])),
-                    new_contributions=tuple(
-                        float(contribs[k, idx]) for k in range(contribs.shape[0])
-                    ),
-                    new_period=float(max(other_max, local_max[idx])),
-                    new_latency=float(new_latency[idx]),
-                    old_cycle=float(old_cycle),
-                    old_latency=float(old_latency),
-                    score=float(score[idx]),
-                )
-                best_rank = rank
-        return best
+            fits_cap = flat_latency[ranked] <= tolerance.limit(latency_cap)
+            pick = int(fits_cap.argmax())
+            if not fits_cap[pick]:
+                return None
+            if pick:
+                blocked_at = float(flat_latency[ranked[:pick]].min())
+        p, position = divmod(int(ranked[pick]), works.shape[1])
+        others = self._cycles[:j] + self._cycles[j + 1 :]
+        return SplitCandidate(
+            interval_index=j,
+            new_intervals=tuple(intervals_at(position)),
+            new_processors=tuple(patterns[p]),
+            new_cycles=tuple(float(c) for c in cycles[p, :, position]),
+            new_contributions=tuple(float(c) for c in contribs[p, :, position]),
+            new_period=float(max(max(others, default=0.0), local_max[p, position])),
+            new_latency=float(new_latency[p, position]),
+            old_cycle=float(old_cycle),
+            old_latency=float(old_latency),
+            score=float(score[p, position]),
+            blocked_at=blocked_at,
+        )
 
     def best_two_way_split(
         self,
@@ -327,38 +322,30 @@ class SplittingState:
         if e == d:
             return None
         proc_j = self.processors[j]
-        s_j = float(self._speeds[proc_j])
-        s_q = float(self._speeds[new_proc])
 
-        cuts = np.arange(d, e)  # first part is [d, cut], second is [cut+1, e]
-        # raw (input, work, output) times of both parts via the shared kernel
-        # (speed=1.0 keeps the work sums undivided; ``mid`` is the boundary
-        # communication, identical as part-1 output and part-2 input)
-        in1, w1, mid = self._part_times(np.full_like(cuts, d), cuts)
-        _, w2, out2 = self._part_times(cuts + 1, np.full_like(cuts, e))
+        # position k cuts after stage c = d + k: parts [d, c] and [c + 1, e]
+        cut_prefix = self._prefix[d + 1 : e + 1]
+        boundaries = np.empty((3, e - d))
+        boundaries[0] = self._input_time(d)
+        np.divide(self._comm[d + 1 : e + 1], self._b, out=boundaries[1])
+        boundaries[2] = self._output_time(e)
+        works = np.empty((2, e - d))
+        np.subtract(cut_prefix, self._prefix[d], out=works[0])
+        np.subtract(self._prefix[e + 1], cut_prefix, out=works[1])
 
-        def builder(idx: int) -> list[Interval]:
-            cut = int(cuts[idx])
-            return [Interval(d, cut), Interval(cut + 1, e)]
+        def intervals_at(k: int) -> list[Interval]:
+            return [Interval(d, d + k), Interval(d + k + 1, e)]
 
-        pieces = []
-        for first_speed, second_speed, procs in (
-            (s_j, s_q, (proc_j, new_proc)),
-            (s_q, s_j, (new_proc, proc_j)),
-        ):
-            cycle1 = in1 + w1 / first_speed + mid
-            cycle2 = mid + w2 / second_speed + out2
-            contrib1 = in1 + w1 / first_speed
-            contrib2 = mid + w2 / second_speed
-            pieces.append(
-                {
-                    "cycles": [cycle1, cycle2],
-                    "contribs": [contrib1, contrib2],
-                    "processors": procs,
-                    "interval_builder": builder,
-                }
-            )
-        return self._select(j, pieces, rule, latency_cap, require_improvement)
+        return self._best_split(
+            j,
+            ((proc_j, new_proc), (new_proc, proc_j)),
+            boundaries,
+            works,
+            intervals_at,
+            rule,
+            latency_cap,
+            require_improvement,
+        )
 
     def best_three_way_split(
         self,
@@ -382,41 +369,37 @@ class SplittingState:
         if e - d < 2:
             return None
         proc_j = self.processors[j]
-        procs_all = (proc_j, int(new_procs[0]), int(new_procs[1]))
 
-        n_cut_positions = e - d  # cuts in [d, e-1]
-        rel1, rel2 = np.triu_indices(n_cut_positions, k=1)
-        cut1 = d + rel1
-        cut2 = d + rel2
+        # position k cuts after stages c1 = d + rel1[k] < c2 = d + rel2[k]:
+        # parts [d, c1], [c1 + 1, c2] and [c2 + 1, e]
+        rel1, rel2 = np.triu_indices(e - d, k=1)
+        cut_prefix = self._prefix[d + 1 : e + 1]
+        cut_comm = self._comm[d + 1 : e + 1] / self._b
+        boundaries = np.empty((4, rel1.size))
+        boundaries[0] = self._input_time(d)
+        boundaries[1] = cut_comm[rel1]
+        boundaries[2] = cut_comm[rel2]
+        boundaries[3] = self._output_time(e)
+        prefix1, prefix2 = cut_prefix[rel1], cut_prefix[rel2]
+        works = np.empty((3, rel1.size))
+        np.subtract(prefix1, self._prefix[d], out=works[0])
+        np.subtract(prefix2, prefix1, out=works[1])
+        np.subtract(self._prefix[e + 1], prefix2, out=works[2])
 
-        # raw (input, work, output) times of the three parts (shared kernel;
-        # the boundary communications mid12/mid23 are each shared by two parts)
-        in1, w1, mid12 = self._part_times(np.full_like(cut1, d), cut1)
-        _, w2, mid23 = self._part_times(cut1 + 1, cut2)
-        _, w3, out3 = self._part_times(cut2 + 1, np.full_like(cut2, e))
-
-        def builder(idx: int) -> list[Interval]:
-            c1, c2 = int(cut1[idx]), int(cut2[idx])
+        def intervals_at(k: int) -> list[Interval]:
+            c1, c2 = d + int(rel1[k]), d + int(rel2[k])
             return [Interval(d, c1), Interval(c1 + 1, c2), Interval(c2 + 1, e)]
 
-        pieces = []
-        for perm in permutations(procs_all):
-            s1, s2, s3 = (float(self._speeds[u]) for u in perm)
-            cycle1 = in1 + w1 / s1 + mid12
-            cycle2 = mid12 + w2 / s2 + mid23
-            cycle3 = mid23 + w3 / s3 + out3
-            contrib1 = in1 + w1 / s1
-            contrib2 = mid12 + w2 / s2
-            contrib3 = mid23 + w3 / s3
-            pieces.append(
-                {
-                    "cycles": [cycle1, cycle2, cycle3],
-                    "contribs": [contrib1, contrib2, contrib3],
-                    "processors": perm,
-                    "interval_builder": builder,
-                }
-            )
-        return self._select(j, pieces, rule, latency_cap, require_improvement)
+        return self._best_split(
+            j,
+            tuple(permutations((proc_j, int(new_procs[0]), int(new_procs[1])))),
+            boundaries,
+            works,
+            intervals_at,
+            rule,
+            latency_cap,
+            require_improvement,
+        )
 
     # ------------------------------------------------------------------ #
     # state mutation
@@ -430,5 +413,6 @@ class SplittingState:
         self.processors[j : j + 1] = list(candidate.new_processors)
         self._cycles[j : j + 1] = list(candidate.new_cycles)
         self._contribs[j : j + 1] = list(candidate.new_contributions)
-        used = set(candidate.new_processors)
-        self._unused = [u for u in self._unused if u not in used]
+        for u in candidate.new_processors:
+            if u in self._unused:
+                self._unused.remove(u)

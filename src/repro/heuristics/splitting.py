@@ -20,16 +20,11 @@ from typing import ClassVar
 
 from ..core.application import PipelineApplication
 from ..core.platform import Platform
+from ..core.tolerance import fits
 from .base import FixedLatencyHeuristic, FixedPeriodHeuristic, HeuristicResult
 from .engine import SelectionRule, SplitCandidate, SplittingState
 
 __all__ = ["SplittingMonoPeriod", "SplittingMonoLatency", "SplittingBiLatency"]
-
-_REL_TOL = 1e-9
-
-
-def _reached(value: float, bound: float) -> bool:
-    return value <= bound * (1 + _REL_TOL) + 1e-12
 
 
 class SplittingMonoPeriod(FixedPeriodHeuristic):
@@ -60,7 +55,7 @@ class SplittingMonoPeriod(FixedPeriodHeuristic):
         state = SplittingState(app, platform)
         history = [state.point()]
         n_splits = 0
-        while not _reached(state.period, bound):
+        while not fits(state.period, bound):
             candidate = self._step_candidate(state)
             if candidate is None:
                 break
@@ -83,7 +78,7 @@ class _FixedLatencySplitting(FixedLatencyHeuristic):
         n_splits = 0
         # If even the latency-optimal initial mapping exceeds the bound, the
         # run is infeasible; the loop below can only keep latency <= bound.
-        if _reached(state.latency, bound):
+        if fits(state.latency, bound):
             while True:
                 unused = state.next_unused(1)
                 if not unused:

@@ -53,7 +53,7 @@ import os
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..core import kernels
+from ..core import kernels, tolerance
 from ..core.exceptions import ConfigurationError
 from ..core.serialization import (
     mapping_from_dict,
@@ -79,11 +79,6 @@ __all__ = [
 
 #: current frontier-document format version (unknown versions are recomputed)
 FRONTIER_SCHEMA = 1
-
-#: the heuristics' feasibility tolerance (``_reached`` in
-#: :mod:`repro.heuristics.splitting`) — replicated bit-for-bit here because
-#: the steps-mode replay *is* that stop test
-_REL_TOL = 1e-9
 
 #: the bounded objectives a frontier can sweep
 _BOUNDED = (Objective.MIN_LATENCY_FOR_PERIOD, Objective.MIN_PERIOD_FOR_LATENCY)
@@ -211,8 +206,8 @@ def _extract_steps(
     """Replay the direct run's stop test over the recorded trajectory."""
     heuristic = _steps_heuristic(solver)
     thr = float(threshold)
-    # bit-for-bit the `_reached` predicate of the heuristics' solve loops
-    limit = thr * (1 + _REL_TOL) + 1e-12
+    # the heuristics' solve loops stop at the first iterate that fits
+    limit = tolerance.limit(thr)
     iterates = document["iterates"]
     idx = _first_reaching(iterates, limit)
     mapping = mapping_from_dict(iterates[idx]["mapping"])

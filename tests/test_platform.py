@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,26 @@ class TestOrderingHelpers:
         platform = Platform([2.0, 5.0, 5.0, 1.0], 10.0)
         assert platform.processors_by_speed() == [1, 2, 0, 3]
         assert platform.processors_by_speed(descending=False) == [3, 0, 1, 2]
+
+    def test_processors_by_speed_returns_a_fresh_list(self):
+        platform = Platform([2.0, 5.0, 5.0, 1.0], 10.0)
+        first = platform.processors_by_speed()
+        first.reverse()
+        first.append(7)
+        assert platform.processors_by_speed() == [1, 2, 0, 3]
+        assert platform.processors_by_speed() is not platform.processors_by_speed()
+
+    @pytest.mark.parametrize("primed", [True, False])
+    def test_cached_order_and_class_survive_pickle(self, primed):
+        platform = Platform([2.0, 5.0, 5.0, 1.0], 10.0, name="ties")
+        if primed:
+            platform.processors_by_speed()
+            _ = platform.platform_class
+        clone = pickle.loads(pickle.dumps(platform))
+        assert clone.processors_by_speed() == [1, 2, 0, 3]
+        assert clone.processors_by_speed(descending=False) == [3, 0, 1, 2]
+        assert clone.platform_class is PlatformClass.COMMUNICATION_HOMOGENEOUS
+        assert clone == platform
 
     def test_fastest_processor_and_speeds(self, small_platform):
         assert small_platform.fastest_processor == 0

@@ -105,6 +105,19 @@ class TestInstanceArena:
             assert app.name == inst.application.name
             assert platform.name == inst.platform.name
 
+    def test_rehydrated_platform_keeps_speed_order_and_class(self):
+        """The cached speed order and class of a rehydrated platform match
+        the original's, whether or not the original had filled its caches."""
+        for inst in _instances(3):
+            pair = (inst.application, inst.platform)
+            order = inst.platform.processors_by_speed()
+            platform_class = inst.platform.platform_class
+            with InstanceArena([pair]) as arena:
+                arena.shipment().install()
+                _, platform = resolve_instance(arena.ref(*pair))
+            assert platform.processors_by_speed() == order
+            assert platform.platform_class is platform_class
+
     def test_inline_fallback_without_shared_memory(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
         instances = _instances(2)
